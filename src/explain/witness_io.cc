@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "src/util/atomic_file.h"
 
@@ -25,12 +26,16 @@ StatusOr<Witness> LoadWitness(const std::string& path) {
   std::string line;
   Witness w;
   bool header = false;
+  size_t declared_nodes = 0, declared_edges = 0;
   while (std::getline(f, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ss(line);
     std::string tag;
     ss >> tag;
     if (tag == "witness") {
+      if (header || !(ss >> declared_nodes >> declared_edges)) {
+        return Status::InvalidArgument("LoadWitness: bad header");
+      }
       header = true;
     } else if (!header) {
       return Status::InvalidArgument("LoadWitness: data before header");
@@ -49,6 +54,13 @@ StatusOr<Witness> LoadWitness(const std::string& path) {
     }
   }
   if (!header) return Status::InvalidArgument("LoadWitness: empty file");
+  if (w.num_nodes() != declared_nodes || w.num_edges() != declared_edges) {
+    return Status::InvalidArgument(
+        "LoadWitness: header declares " + std::to_string(declared_nodes) +
+        " nodes and " + std::to_string(declared_edges) + " edges, file has " +
+        std::to_string(w.num_nodes()) + " and " +
+        std::to_string(w.num_edges()));
+  }
   return w;
 }
 

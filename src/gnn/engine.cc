@@ -62,6 +62,45 @@ const GraphView* InferenceEngine::ViewOf(ViewId id) const {
   return it->second.view;
 }
 
+const GraphView* InferenceEngine::BeginInferenceLocked(
+    std::unique_lock<std::mutex>& lock, ViewId id) {
+  cv_inference_.wait(lock, [&] { return !mutating_base_; });
+  ++inferences_;
+  if (id == kNoSlot) return nullptr;
+  const GraphView* view = ViewOf(id);
+  ++pinned_[view];
+  return view;
+}
+
+void InferenceEngine::EndInferenceLocked(const GraphView* view) {
+  --inferences_;
+  if (view != nullptr) {
+    auto it = pinned_.find(view);
+    if (--(it->second) == 0) pinned_.erase(it);
+  }
+  cv_inference_.notify_all();
+}
+
+void InferenceEngine::AwaitUnpinnedLocked(std::unique_lock<std::mutex>& lock,
+                                          const GraphView* view) {
+  // The base view lives as long as the engine and stays bound to kFullView,
+  // so nobody destroys it after an unbind; waiting for it could starve.
+  if (view == nullptr || view == base_) return;
+  cv_inference_.wait(lock, [&] { return pinned_.count(view) == 0; });
+}
+
+void InferenceEngine::MutateBase(const std::function<void()>& mutate) {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_inference_.wait(lock, [&] { return !mutating_base_; });
+  mutating_base_ = true;
+  cv_inference_.wait(lock, [&] { return inferences_ == 0; });
+  lock.unlock();
+  mutate();
+  lock.lock();
+  mutating_base_ = false;
+  cv_inference_.notify_all();
+}
+
 InferenceEngine::ViewId InferenceEngine::Register(const GraphView* view) {
   RCW_CHECK(view != nullptr);
   std::unique_lock<std::mutex> lock(mu_);
@@ -74,8 +113,10 @@ void InferenceEngine::Bind(ViewId id, const GraphView* view) {
   RCW_CHECK(view != nullptr);
   std::unique_lock<std::mutex> lock(mu_);
   Slot& slot = slots_[id];
+  const GraphView* old = slot.view;
   slot.view = view;
   slot.logits.clear();
+  if (old != view) AwaitUnpinnedLocked(lock, old);
 }
 
 void InferenceEngine::Invalidate(ViewId id) {
@@ -118,7 +159,11 @@ void InferenceEngine::InvalidateOverlays() {
 void InferenceEngine::Release(ViewId id) {
   RCW_CHECK_MSG(id != kFullView, "InferenceEngine: cannot release full view");
   std::unique_lock<std::mutex> lock(mu_);
-  slots_.erase(id);
+  auto it = slots_.find(id);
+  if (it == slots_.end()) return;
+  const GraphView* old = it->second.view;
+  slots_.erase(it);
+  AwaitUnpinnedLocked(lock, old);
 }
 
 void InferenceEngine::EvictOverlayForInsertLocked(size_t incoming) {
@@ -156,6 +201,7 @@ std::vector<double> InferenceEngine::Logits(ViewId id, NodeId v) {
         return *hit;
       }
     }
+    view = BeginInferenceLocked(lock, id);
   }
   // Model invocation outside the lock; concurrent misses on the same node
   // compute identical values and the insert below is idempotent.
@@ -163,6 +209,7 @@ std::vector<double> InferenceEngine::Logits(ViewId id, NodeId v) {
       model_->InferNode(*view, graph_->features(), v));
   {
     std::unique_lock<std::mutex> lock(mu_);
+    EndInferenceLocked(view);
     ++stats_.model_invocations;
     if (opts_.cache) {
       auto it = slots_.find(id);
@@ -203,6 +250,10 @@ void InferenceEngine::Warm(ViewId id, const std::vector<NodeId>& nodes) {
     for (NodeId v : missing) Logits(id, v);
     return;
   }
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    view = BeginInferenceLocked(lock, id);
+  }
   const Matrix rows = model_->InferNodes(*view, graph_->features(), missing);
   std::vector<LogitsPtr> packed;
   packed.reserve(missing.size());
@@ -210,6 +261,7 @@ void InferenceEngine::Warm(ViewId id, const std::vector<NodeId>& nodes) {
     packed.push_back(PackRow(rows, i));
   }
   std::unique_lock<std::mutex> lock(mu_);
+  EndInferenceLocked(view);
   ++stats_.model_invocations;
   stats_.batched_nodes += static_cast<int64_t>(missing.size());
   auto it = slots_.find(id);
@@ -242,6 +294,10 @@ void InferenceEngine::WarmOverlay(const std::vector<Edge>& flips,
     for (NodeId v : missing) LogitsOverlay(flips, v);
     return;
   }
+  std::unique_lock<std::mutex> lock(mu_);
+  BeginInferenceLocked(lock);
+  lock.unlock();
+  // Building the overlay reads the base graph too.
   const OverlayView overlay(base_, EdgesOfKeys(canon));
   const Matrix rows = model_->InferNodes(overlay, graph_->features(), missing);
   std::vector<LogitsPtr> packed;
@@ -249,7 +305,8 @@ void InferenceEngine::WarmOverlay(const std::vector<Edge>& flips,
   for (size_t i = 0; i < missing.size(); ++i) {
     packed.push_back(PackRow(rows, i));
   }
-  std::unique_lock<std::mutex> lock(mu_);
+  lock.lock();
+  EndInferenceLocked(nullptr);
   ++stats_.model_invocations;
   stats_.batched_nodes += static_cast<int64_t>(missing.size());
   EvictOverlayForInsertLocked(missing.size());
@@ -285,11 +342,16 @@ std::vector<double> InferenceEngine::LogitsOverlay(
     }
   }
 
+  std::unique_lock<std::mutex> lock(mu_);
+  BeginInferenceLocked(lock);
+  lock.unlock();
+  // Building the overlay reads the base graph too.
   const OverlayView overlay(base_, EdgesOfKeys(canon));
   auto logits = std::make_shared<const std::vector<double>>(
       model_->InferNode(overlay, graph_->features(), v));
 
-  std::unique_lock<std::mutex> lock(mu_);
+  lock.lock();
+  EndInferenceLocked(nullptr);
   if (!opts_.cache) ++stats_.node_queries;
   ++stats_.model_invocations;
   if (opts_.cache) {
@@ -311,8 +373,12 @@ Label InferenceEngine::PredictOverlay(const std::vector<Edge>& flips,
 }
 
 std::vector<double> InferenceEngine::LogitsOn(const GraphView& view, NodeId v) {
-  std::vector<double> logits = model_->InferNode(view, graph_->features(), v);
   std::unique_lock<std::mutex> lock(mu_);
+  BeginInferenceLocked(lock);
+  lock.unlock();
+  std::vector<double> logits = model_->InferNode(view, graph_->features(), v);
+  lock.lock();
+  EndInferenceLocked(nullptr);
   ++stats_.node_queries;
   ++stats_.model_invocations;
   return logits;

@@ -29,11 +29,17 @@
 /// workers). Cached logits are held behind shared_ptr so a hit only copies
 /// the vector after the lock is released; the model invocation itself runs
 /// outside the lock, and two threads racing on the same missing node may
-/// both compute it — identical values, idempotent insert.
+/// both compute it — identical values, idempotent insert. An inference in
+/// progress pins the view it reads: Bind() and Release() return only once
+/// no inference reads the slot's old view any more, so the caller may then
+/// destroy it, and MutateBase() changes the base graph only while no
+/// inference runs.
 #ifndef ROBOGEXP_GNN_ENGINE_H_
 #define ROBOGEXP_GNN_ENGINE_H_
 
+#include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -147,7 +153,15 @@ class InferenceEngine {
 
   /// Rebinds `id` to `view` and invalidates its cached logits. Call this
   /// whenever the underlying edge set changed (e.g. the witness mutated).
+  /// Returns once no inference reads the previous view, which the caller may
+  /// then destroy.
   void Bind(ViewId id, const GraphView* view);
+
+  /// Runs `mutate`, an in-place change of the base graph, while no inference
+  /// of this engine runs: waits for those in progress and holds new ones
+  /// back until `mutate` returns. Must not be called from inside an
+  /// inference of this engine.
+  void MutateBase(const std::function<void()>& mutate);
 
   /// Drops the slot's cached logits, keeping the binding.
   void Invalidate(ViewId id);
@@ -173,7 +187,8 @@ class InferenceEngine {
   void InvalidateOverlays();
 
   /// Unbinds the slot (safe to call before the view's lifetime ends; the
-  /// slot id is not reused).
+  /// slot id is not reused). Like Bind(), returns once no inference reads
+  /// the view.
   void Release(ViewId id);
 
   /// Logits of node `v` on the slot's view; memoized.
@@ -239,6 +254,22 @@ class InferenceEngine {
 
   const GraphView* ViewOf(ViewId id) const;
 
+  /// BeginInferenceLocked's id for an inference that reads no slot.
+  static constexpr ViewId kNoSlot = -1;
+  /// Starts one inference: waits out a MutateBase in progress and counts
+  /// the inference. With a slot id it also pins the slot's current view and
+  /// returns it; without one (an overlay of the base, or a caller-owned
+  /// view) it pins nothing and returns null. Caller holds mu_ via `lock`.
+  const GraphView* BeginInferenceLocked(std::unique_lock<std::mutex>& lock,
+                                        ViewId id = kNoSlot);
+  /// Ends an inference begun with BeginInferenceLocked, which returned
+  /// `view`. Caller holds mu_.
+  void EndInferenceLocked(const GraphView* view);
+  /// Waits until no inference pins `view`, a view just unbound from a slot.
+  /// Caller holds mu_ via `lock`.
+  void AwaitUnpinnedLocked(std::unique_lock<std::mutex>& lock,
+                           const GraphView* view);
+
   /// Rebuilds the overlay edge list from a canonical key vector.
   static std::vector<Edge> EdgesOfKeys(const std::vector<uint64_t>& keys);
 
@@ -266,6 +297,13 @@ class InferenceEngine {
   };
 
   mutable std::mutex mu_;
+  /// Signalled whenever an inference ends or a base mutation finishes.
+  std::condition_variable cv_inference_;
+  /// Inferences in progress, and how many of them read each bound view.
+  int inferences_ = 0;
+  std::unordered_map<const GraphView*, int> pinned_;
+  /// True while MutateBase runs (or waits for inferences to drain).
+  bool mutating_base_ = false;
   std::unordered_map<ViewId, Slot> slots_;
   std::unordered_map<std::vector<uint64_t>, OverlaySet, FlipKeyHash>
       overlay_cache_;

@@ -16,18 +16,30 @@ GcnModel::GcnModel(std::vector<Matrix> weights, std::vector<Matrix> biases)
 
 Matrix GcnModel::InferSubset(const GraphView& view, const Matrix& features,
                              const std::vector<NodeId>& nodes) const {
-  const size_t n = nodes.size();
+  return InferBall(view, features, nodes,
+                   std::vector<size_t>(weights_.size() + 1, nodes.size()));
+}
+
+Matrix GcnModel::InferBall(const GraphView& view, const Matrix& features,
+                           const std::vector<NodeId>& ball,
+                           const std::vector<size_t>& shell_end) const {
+  const size_t num_layers = weights_.size();
+  const size_t n = ball.size();
+  RCW_CHECK(shell_end.size() == num_layers + 1 && shell_end.back() == n);
   std::unordered_map<NodeId, size_t> local;
   local.reserve(n * 2);
-  for (size_t i = 0; i < n; ++i) local[nodes[i]] = i;
+  for (size_t i = 0; i < n; ++i) local[ball[i]] = i;
 
-  // Local adjacency (restricted to the subset) and true normalized degrees.
-  std::vector<std::vector<size_t>> nbrs_local(n);
+  // True normalized degrees of every row; local adjacency (restricted to the
+  // ball) only for the rows the first layer aggregates, the widest shell.
+  const size_t n_agg = shell_end[num_layers - 1];
+  std::vector<std::vector<size_t>> nbrs_local(n_agg);
   std::vector<double> inv_sqrt_deg(n);
   std::vector<NodeId> nbrs;
   for (size_t i = 0; i < n; ++i) {
-    const NodeId u = nodes[i];
+    const NodeId u = ball[i];
     inv_sqrt_deg[i] = 1.0 / std::sqrt(static_cast<double>(view.Degree(u) + 1));
+    if (i >= n_agg) continue;
     nbrs.clear();
     view.AppendNeighbors(u, &nbrs);
     for (NodeId w : nbrs) {
@@ -36,18 +48,21 @@ Matrix GcnModel::InferSubset(const GraphView& view, const Matrix& features,
     }
   }
 
-  // H = features rows of the subset.
+  // H = features rows of the ball.
   Matrix h(static_cast<int64_t>(n), features.cols());
   for (size_t i = 0; i < n; ++i) {
-    const double* src = features.Row(nodes[i]);
+    const double* src = features.Row(ball[i]);
     double* dst = h.Row(static_cast<int64_t>(i));
     for (int64_t c = 0; c < features.cols(); ++c) dst[c] = src[c];
   }
 
-  for (size_t layer = 0; layer < weights_.size(); ++layer) {
+  // h holds shell_end[L-layer] rows on entry to `layer`; a row that
+  // aggregates reads only rows one hop further out, all of which t holds.
+  for (size_t layer = 0; layer < num_layers; ++layer) {
     const Matrix t = Matrix::Multiply(h, weights_[layer]);
-    Matrix agg(static_cast<int64_t>(n), t.cols());
-    for (size_t i = 0; i < n; ++i) {
+    const size_t rows = shell_end[num_layers - 1 - layer];
+    Matrix agg(static_cast<int64_t>(rows), t.cols());
+    for (size_t i = 0; i < rows; ++i) {
       double* out = agg.Row(static_cast<int64_t>(i));
       // Self-loop term: Â includes I, normalization 1/d̂_i.
       const double self_w = inv_sqrt_deg[i] * inv_sqrt_deg[i];
@@ -60,7 +75,7 @@ Matrix GcnModel::InferSubset(const GraphView& view, const Matrix& features,
       }
     }
     agg.AddRowVectorInPlace(biases_[layer]);
-    if (layer + 1 < weights_.size()) agg.ReluInPlace();
+    if (layer + 1 < num_layers) agg.ReluInPlace();
     h = std::move(agg);
   }
   return h;

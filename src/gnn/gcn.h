@@ -24,8 +24,18 @@ class GcnModel final : public GnnModel {
   }
   int64_t num_features() const override { return weights_.front().rows(); }
 
+  /// InferBall with every shell ending at |nodes|: all layers on all rows.
   Matrix InferSubset(const GraphView& view, const Matrix& features,
                      const std::vector<NodeId>& nodes) const override;
+
+  /// Of the L layers, layer l aggregates only the first shell_end[L-1-l]
+  /// rows, so it projects only the shell_end[L-l] rows those read. A row within L-1 hops
+  /// has every neighbour inside the ball, in AppendNeighbors order, so each
+  /// computed row sums the same operands in the same order as a whole-graph
+  /// pass and the result is bit-identical to it.
+  Matrix InferBall(const GraphView& view, const Matrix& features,
+                   const std::vector<NodeId>& ball,
+                   const std::vector<size_t>& shell_end) const override;
 
   std::vector<Matrix>& mutable_weights() { return weights_; }
   std::vector<Matrix>& mutable_biases() { return biases_; }

@@ -10,15 +10,23 @@ Matrix GnnModel::Infer(const GraphView& view, const Matrix& features) const {
   return InferSubset(view, features, all);
 }
 
+Matrix GnnModel::InferBall(const GraphView& view, const Matrix& features,
+                           const std::vector<NodeId>& ball,
+                           const std::vector<size_t>& /*shell_end*/) const {
+  return InferSubset(view, features, ball);
+}
+
 std::vector<double> GnnModel::InferNode(const GraphView& view,
                                         const Matrix& features,
                                         NodeId v) const {
-  const std::vector<NodeId> ball = KHopBall(view, v, receptive_hops());
-  // Row 0 of the subset result is read as v's logits; that is only sound
+  std::vector<size_t> shell_end;
+  const std::vector<NodeId> ball =
+      KHopBallShells(view, {v}, receptive_hops(), &shell_end);
+  // Row 0 of the ball result is read as v's logits; that is only sound
   // because KHopBall guarantees the center is the first ball entry.
   RCW_CHECK_MSG(!ball.empty() && ball[0] == v,
                 "InferNode: KHopBall must place the center first");
-  const Matrix logits = InferSubset(view, features, ball);
+  const Matrix logits = InferBall(view, features, ball, shell_end);
   std::vector<double> out(static_cast<size_t>(num_classes()));
   for (int c = 0; c < num_classes(); ++c) {
     out[static_cast<size_t>(c)] = logits.at(0, c);
@@ -37,11 +45,14 @@ Matrix GnnModel::InferNodes(const GraphView& view, const Matrix& features,
     }
     return out;
   }
-  const std::vector<NodeId> ball = KHopBall(view, nodes, receptive_hops());
-  const Matrix logits = InferSubset(view, features, ball);
+  std::vector<size_t> shell_end;
+  const std::vector<NodeId> ball =
+      KHopBallShells(view, nodes, receptive_hops(), &shell_end);
+  const Matrix logits = InferBall(view, features, ball, shell_end);
+  // The seeds are the ball's first shell_end[0] entries.
   std::unordered_map<NodeId, int64_t> row;
-  row.reserve(ball.size() * 2);
-  for (size_t i = 0; i < ball.size(); ++i) {
+  row.reserve(shell_end[0] * 2);
+  for (size_t i = 0; i < shell_end[0]; ++i) {
     row[ball[i]] = static_cast<int64_t>(i);
   }
   for (size_t i = 0; i < nodes.size(); ++i) {

@@ -5,7 +5,11 @@
 // materializing new graphs. Inference can be restricted to a node subset
 // (local indexing); `InferNode` exploits the fact that an L-layer
 // message-passing GNN's output at v depends only on v's L-hop ball, making a
-// single-node query O(ball) instead of O(|G|).
+// single-node query O(ball) instead of O(|G|). The ball comes with its hop
+// shells (`InferBall`), and layer l is read only within L-1-l hops of the
+// query nodes, so a model may compute each layer on fewer rows. GCN does: a
+// localized query costs one projection X·W_0 over the L-hop ball, and layer l
+// then aggregates (and layer l+1 projects) only the (L-1-l)-hop ball.
 #ifndef ROBOGEXP_GNN_MODEL_H_
 #define ROBOGEXP_GNN_MODEL_H_
 
@@ -33,6 +37,16 @@ class GnnModel {
   virtual Matrix InferSubset(const GraphView& view, const Matrix& features,
                              const std::vector<NodeId>& nodes) const = 0;
 
+  /// Logits for the seeds of a KHopBallShells ball of radius
+  /// receptive_hops(): `ball` lists the nodes in BFS order and `shell_end[h]`
+  /// is the number of them within h hops of the seeds. Only the first
+  /// shell_end[0] rows (the seeds, in ball order) are defined, and the result
+  /// may hold only those rows. The default runs InferSubset over the whole
+  /// ball; a model may skip the rows that no seed's output reads.
+  virtual Matrix InferBall(const GraphView& view, const Matrix& features,
+                           const std::vector<NodeId>& ball,
+                           const std::vector<size_t>& shell_end) const;
+
   /// Receptive-field radius used by the default InferNode (L for
   /// message-passing models; APPNP overrides node inference with PPR push).
   virtual int receptive_hops() const { return num_layers(); }
@@ -55,12 +69,12 @@ class GnnModel {
                                         NodeId v) const;
 
   /// Batched localized inference: logits for each of `nodes` (rows follow
-  /// `nodes` order). The default runs ONE InferSubset over the union of the
+  /// `nodes` order). The default runs ONE InferBall over the union of the
   /// nodes' receptive balls; because an L-layer model's output at v only
   /// reads values computed from v's own ball, every row is bit-identical to
   /// the corresponding InferNode result. Models whose single-node path is
-  /// not InferSubset-based (APPNP's PPR push) override this to preserve
-  /// their exact per-node numerics.
+  /// not ball-based (APPNP's PPR push) override this to preserve their
+  /// exact per-node numerics.
   virtual Matrix InferNodes(const GraphView& view, const Matrix& features,
                             const std::vector<NodeId>& nodes) const;
 

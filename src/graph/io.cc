@@ -1,7 +1,9 @@
 #include "src/graph/io.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "src/util/atomic_file.h"
 
@@ -47,6 +49,19 @@ Status SaveGraph(const Graph& graph, const std::string& path) {
   return writer.Commit("SaveGraph");
 }
 
+namespace {
+
+// Parses all of `text` as a number; false on an empty, partial or
+// out-of-range parse.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 StatusOr<Graph> LoadGraph(const std::string& path) {
   std::ifstream f(path);
   if (!f) return Status::NotFound("LoadGraph: cannot open " + path);
@@ -55,6 +70,8 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
   Matrix features;
   std::vector<Label> labels;
   int num_classes = 0;
+  int64_t declared_edges = 0;
+  int64_t edges_read = 0;
   bool header_seen = false;
 
   while (std::getline(f, line)) {
@@ -64,9 +81,11 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
     ss >> tag;
     if (tag == "graph") {
       NodeId n;
-      int64_t m, nf;
-      ss >> n >> m >> nf >> num_classes;
-      if (!ss) return Status::InvalidArgument("LoadGraph: bad header");
+      int64_t nf;
+      ss >> n >> declared_edges >> nf >> num_classes;
+      if (!ss || n < 0 || declared_edges < 0 || nf < 0) {
+        return Status::InvalidArgument("LoadGraph: bad header");
+      }
       graph = Graph(n);
       features = Matrix(n, nf);
       labels.assign(static_cast<size_t>(n), 0);
@@ -75,30 +94,33 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
       return Status::InvalidArgument("LoadGraph: data before header");
     } else if (tag == "e") {
       NodeId u, v;
-      ss >> u >> v;
+      if (!(ss >> u >> v)) {
+        return Status::InvalidArgument("LoadGraph: bad edge");
+      }
       RCW_RETURN_IF_ERROR(graph.AddEdge(u, v));
+      ++edges_read;
     } else if (tag == "l") {
       NodeId u;
       Label l;
-      ss >> u >> l;
-      if (!graph.ValidNode(u)) {
+      if (!(ss >> u >> l) || !graph.ValidNode(u)) {
         return Status::InvalidArgument("LoadGraph: bad label node");
       }
       labels[static_cast<size_t>(u)] = l;
     } else if (tag == "f") {
       NodeId u;
-      ss >> u;
-      if (!graph.ValidNode(u)) {
+      if (!(ss >> u) || !graph.ValidNode(u)) {
         return Status::InvalidArgument("LoadGraph: bad feature node");
       }
       std::string pair;
       while (ss >> pair) {
         const size_t colon = pair.find(':');
-        if (colon == std::string::npos) {
+        int64_t idx;
+        double value;
+        if (colon == std::string::npos ||
+            !ParseWhole(pair.substr(0, colon), &idx) ||
+            !ParseWhole(pair.substr(colon + 1), &value)) {
           return Status::InvalidArgument("LoadGraph: bad feature pair");
         }
-        const int64_t idx = std::stoll(pair.substr(0, colon));
-        const double value = std::stod(pair.substr(colon + 1));
         if (idx < 0 || idx >= features.cols()) {
           return Status::InvalidArgument("LoadGraph: feature index range");
         }
@@ -107,8 +129,7 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
     } else if (tag == "n") {
       NodeId u;
       std::string name;
-      ss >> u >> name;
-      if (!graph.ValidNode(u)) {
+      if (!(ss >> u >> name) || !graph.ValidNode(u)) {
         return Status::InvalidArgument("LoadGraph: bad name node");
       }
       graph.SetNodeName(u, name);
@@ -117,6 +138,12 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
     }
   }
   if (!header_seen) return Status::InvalidArgument("LoadGraph: empty file");
+  if (edges_read != declared_edges) {
+    return Status::InvalidArgument("LoadGraph: header declares " +
+                                   std::to_string(declared_edges) +
+                                   " edges, file has " +
+                                   std::to_string(edges_read));
+  }
   if (features.cols() > 0) graph.SetFeatures(std::move(features));
   if (num_classes > 0) graph.SetLabels(std::move(labels), num_classes);
   return graph;

@@ -105,6 +105,12 @@ std::vector<NodeId> KHopBall(const GraphView& view, NodeId center, int hops) {
 
 std::vector<NodeId> KHopBall(const GraphView& view,
                              const std::vector<NodeId>& seeds, int hops) {
+  return KHopBallShells(view, seeds, hops, nullptr);
+}
+
+std::vector<NodeId> KHopBallShells(const GraphView& view,
+                                   const std::vector<NodeId>& seeds, int hops,
+                                   std::vector<size_t>* shell_end) {
   std::vector<NodeId> order;
   std::unordered_set<NodeId> seen;
   std::deque<std::pair<NodeId, int>> frontier;
@@ -114,6 +120,7 @@ std::vector<NodeId> KHopBall(const GraphView& view,
       frontier.emplace_back(s, 0);
     }
   }
+  if (shell_end != nullptr) shell_end->assign(1, order.size());
   std::vector<NodeId> nbrs;
   while (!frontier.empty()) {
     auto [u, d] = frontier.front();
@@ -126,8 +133,17 @@ std::vector<NodeId> KHopBall(const GraphView& view,
       if (seen.insert(w).second) {
         order.push_back(w);
         frontier.emplace_back(w, d + 1);
+        // BFS appends by nondecreasing depth, so shell d + 1 is the last one.
+        if (shell_end != nullptr) {
+          shell_end->resize(static_cast<size_t>(d) + 2);
+          shell_end->back() = order.size();
+        }
       }
     }
+  }
+  if (shell_end != nullptr) {
+    shell_end->resize(static_cast<size_t>(std::max(hops, 0)) + 1,
+                      order.size());
   }
   return order;
 }

@@ -124,6 +124,14 @@ std::vector<NodeId> KHopBall(const GraphView& view, NodeId center, int hops);
 std::vector<NodeId> KHopBall(const GraphView& view,
                              const std::vector<NodeId>& seeds, int hops);
 
+/// KHopBall that also reports where each hop shell ends: on return
+/// (*shell_end)[h] is the number of ball nodes within h hops of the seeds,
+/// for h = 0..hops, so the ball's first (*shell_end)[h] entries are exactly
+/// those nodes. `shell_end` may be null.
+std::vector<NodeId> KHopBallShells(const GraphView& view,
+                                   const std::vector<NodeId>& seeds, int hops,
+                                   std::vector<size_t>* shell_end);
+
 /// All edges of `view` with both endpoints inside `nodes`.
 std::vector<Edge> InducedEdges(const GraphView& view,
                                const std::vector<NodeId>& nodes);

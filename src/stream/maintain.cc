@@ -532,8 +532,12 @@ StatusOr<MaintainReport> WitnessMaintainer::Apply(const UpdateBatch& batch) {
   // Phase 4 — commit and invalidate, then announce base-secured. The
   // ordering is the serving-correctness invariant: caches are invalidated
   // BEFORE EmitBaseSecured wakes parked full-view requests, so woken reads
-  // can only miss into post-update inference.
-  known_graph_version_ = CommitUpdatePlan(graph_, plan.value());
+  // can only miss into post-update inference. The commit itself runs while
+  // no inference of the engine reads the graph: a reader that returned from
+  // its ticket may still miss into inference after the epoch opened.
+  engine_.MutateBase([&] {
+    known_graph_version_ = CommitUpdatePlan(graph_, plan.value());
+  });
   if (receptive_local) {
     // Targeted invalidation: only the touched balls go cold. The witness
     // subgraph view reads no base-graph edges, so it stays warm entirely.

@@ -2,6 +2,9 @@
 // k-disturbance, beyond the removal-only experimental default.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+
 #include "src/explain/robogexp.h"
 #include "src/explain/verify.h"
 #include "src/explain/witness_io.h"
@@ -83,6 +86,35 @@ TEST(WitnessIo, RoundTrip) {
   auto loaded = LoadWitness(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value(), w);
+}
+
+TEST(WitnessIo, RejectsEveryTruncation) {
+  Witness w;
+  w.AddNode(7);
+  w.AddEdge(1, 2);
+  w.AddEdge(3, 9);
+  const std::string path = std::string(::testing::TempDir()) + "/full.rcw";
+  ASSERT_TRUE(SaveWitness(w, path).ok());
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  // Cut the file at every line boundary short of its end, the empty prefix
+  // included: no proper prefix may load.
+  const std::string cut = std::string(::testing::TempDir()) + "/cut.rcw";
+  size_t cuts = 0;
+  for (size_t len = 0; len < text.size(); len = text.find('\n', len) + 1) {
+    {
+      std::ofstream out(cut, std::ios::trunc);
+      out << text.substr(0, len);
+    }
+    EXPECT_FALSE(LoadWitness(cut).ok()) << "prefix of " << len << " bytes";
+    ++cuts;
+  }
+  // One cut per line: the header, then one line per node and per edge.
+  EXPECT_EQ(cuts, 1 + w.num_nodes() + w.num_edges());
 }
 
 TEST(WitnessIo, RejectsGarbage) {

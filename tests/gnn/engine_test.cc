@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "src/gnn/trainer.h"
 #include "tests/testing/fixtures.h"
@@ -277,6 +280,83 @@ TEST(KHopBall, CenterIsAlwaysFirstAndOrderIsDeterministicBfs) {
   const std::vector<NodeId> ball = KHopBall(full, seeds, 2);
   ASSERT_GE(ball.size(), seeds.size());
   for (size_t i = 0; i < seeds.size(); ++i) EXPECT_EQ(ball[i], seeds[i]);
+}
+
+// How long a test lets a thread that must stay blocked try to run on.
+constexpr auto kBlockedFor = std::chrono::milliseconds(100);
+
+// A cache miss runs the model outside the engine lock on the slot's view.
+// Rebinding or releasing the slot must not return (so the caller must not
+// free the old view) while that inference still reads it.
+TEST(EngineViewPinning, BindAndReleaseWaitForAnInferenceOnTheOldView) {
+  const auto& f = testing::TwoCommunityGcn();
+  testing::GatedModel gated(f.model.get());
+  InferenceEngine engine(&gated, f.graph.get());
+  const FullView full(f.graph.get());
+  auto old_view =
+      std::make_unique<OverlayView>(&full, std::vector<Edge>{Edge(0, 1)});
+  const OverlayView new_view(&full, {Edge(0, 2)});
+  for (const bool release : {false, true}) {
+    const InferenceEngine::ViewId id = engine.Register(old_view.get());
+    gated.Arm();
+    std::thread reader([&] { engine.Logits(id, 1); });
+    gated.WaitEntered();
+    std::atomic<bool> returned{false};
+    std::thread unbinder([&] {
+      if (release) {
+        engine.Release(id);
+      } else {
+        engine.Bind(id, &new_view);
+      }
+      returned = true;
+    });
+    std::this_thread::sleep_for(kBlockedFor);
+    EXPECT_FALSE(returned.load())
+        << (release ? "Release" : "Bind") << " returned during an inference";
+    gated.Open();
+    reader.join();
+    unbinder.join();
+    EXPECT_TRUE(returned.load());
+    if (!release) {
+      EXPECT_EQ(engine.Logits(id, 1),
+                f.model->InferNode(new_view, f.graph->features(), 1));
+      engine.Release(id);
+    }
+  }
+}
+
+TEST(EngineViewPinning, MutateBaseWaitsForInferenceAndHoldsNewOnesBack) {
+  const auto& f = testing::TwoCommunityGcn();
+  testing::GatedModel gated(f.model.get());
+  Graph graph = *f.graph;
+  InferenceEngine engine(&gated, &graph);
+  gated.Arm();
+  std::thread reader([&] { engine.Logits(InferenceEngine::kFullView, 1); });
+  gated.WaitEntered();
+  std::atomic<bool> mutated{false};
+  std::atomic<bool> late_read_done{false};
+  std::thread late_reader;
+  std::thread writer([&] {
+    engine.MutateBase([&] {
+      EXPECT_TRUE(graph.AddEdge(1, 7).ok());
+      // An inference that starts now must wait for the mutation to finish.
+      late_reader = std::thread([&] {
+        engine.LogitsOn(FullView(&graph), 2);
+        late_read_done = true;
+      });
+      std::this_thread::sleep_for(kBlockedFor);
+      EXPECT_FALSE(late_read_done.load()) << "inference ran during MutateBase";
+      mutated = true;
+    });
+  });
+  std::this_thread::sleep_for(kBlockedFor);
+  EXPECT_FALSE(mutated.load()) << "MutateBase ran during an inference";
+  gated.Open();
+  reader.join();
+  writer.join();
+  late_reader.join();
+  EXPECT_TRUE(mutated.load());
+  EXPECT_TRUE(late_read_done.load());
 }
 
 }  // namespace

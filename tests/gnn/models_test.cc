@@ -74,14 +74,20 @@ TEST_P(AllModelsTest, LocalizedInferNodeMatchesFullInference) {
   const auto model = AllModels()[GetParam()].make(g);
   const FullView full(&g);
   const Matrix all = model->Infer(full, g.features());
-  // Message-passing models are exact; APPNP's push is exact to its residual
-  // threshold, so allow that slack.
-  const double tol = AllModels()[GetParam()].name == "APPNP" ? 5e-4 : 1e-6;
+  // Message-passing models are exact, GCN bit for bit; APPNP's push is
+  // exact to its residual threshold, so allow that slack.
+  const std::string name = AllModels()[GetParam()].name;
+  const double tol = name == "APPNP" ? 5e-4 : 1e-6;
   for (NodeId v : {NodeId{0}, NodeId{7}, NodeId{100}, NodeId{239}}) {
     const std::vector<double> local = model->InferNode(full, g.features(), v);
     for (int c = 0; c < model->num_classes(); ++c) {
-      EXPECT_NEAR(local[static_cast<size_t>(c)], all.at(v, c), tol)
-          << AllModels()[GetParam()].name << " node " << v << " class " << c;
+      if (name == "GCN") {
+        EXPECT_EQ(local[static_cast<size_t>(c)], all.at(v, c))
+            << "node " << v << " class " << c;
+      } else {
+        EXPECT_NEAR(local[static_cast<size_t>(c)], all.at(v, c), tol)
+            << name << " node " << v << " class " << c;
+      }
     }
   }
 }
@@ -133,6 +139,67 @@ INSTANTIATE_TEST_SUITE_P(Models, AllModelsTest,
                          [](const ::testing::TestParamInfo<size_t>& info) {
                            return AllModels()[info.param].name;
                          });
+
+// Localized GCN inference computes each layer only on the hop shells that
+// the query nodes read. Every computed row must still sum the same operands
+// in the same order as a whole-graph pass, so the rows are bit-identical.
+void ExpectGcnLocalRowsEqualInfer(const GnnModel& model, const GraphView& view,
+                                  const Matrix& features,
+                                  const std::string& label) {
+  const Matrix all = model.Infer(view, features);
+  const NodeId n = view.num_nodes();
+  for (NodeId v = 0; v < n; ++v) {
+    const std::vector<double> local = model.InferNode(view, features, v);
+    for (int c = 0; c < model.num_classes(); ++c) {
+      ASSERT_EQ(local[static_cast<size_t>(c)], all.at(v, c))
+          << label << " InferNode node " << v << " class " << c;
+    }
+  }
+  // Multi-seed batches: scattered seeds, one repeated, several sharing balls.
+  for (NodeId start = 0; start < n; start += 5) {
+    const std::vector<NodeId> seeds = {start, (start + 37) % n, (start + 1) % n,
+                                       (start + 113) % n, start};
+    const Matrix rows = model.InferNodes(view, features, seeds);
+    for (size_t i = 0; i < seeds.size(); ++i) {
+      for (int c = 0; c < model.num_classes(); ++c) {
+        ASSERT_EQ(rows.at(static_cast<int64_t>(i), c), all.at(seeds[i], c))
+            << label << " InferNodes seed " << seeds[i] << " class " << c;
+      }
+    }
+  }
+}
+
+TEST(Gcn, LocalizedInferenceIsBitIdenticalOnEveryView) {
+  const Graph g = testing::MakeSmallSbm();
+  TrainOptions opts;
+  opts.epochs = 30;
+  opts.hidden_dims = {8, 8};  // three layers: four hop shells
+  const auto model = TrainGcn(g, SampleTrainNodes(g, 0.5, 1), opts);
+  ASSERT_EQ(model->num_layers(), 3);
+  const FullView full(&g);
+  ExpectGcnLocalRowsEqualInfer(*model, full, g.features(), "full");
+
+  // Overlay with deletions and insertions.
+  const std::vector<Edge> edges = g.Edges();
+  std::vector<Edge> flips = {edges[0], edges[edges.size() / 2], edges.back()};
+  for (NodeId u = 0, added = 0; added < 4; u += 17) {
+    const NodeId w = (u * 7 + 50) % g.num_nodes();
+    if (u != w && !g.HasEdge(u, w)) {
+      flips.emplace_back(u, w);
+      ++added;
+    }
+  }
+  const OverlayView overlay(&full, flips);
+  ASSERT_EQ(overlay.num_removals(), 3);
+  ASSERT_EQ(overlay.num_insertions(), 4);
+  ExpectGcnLocalRowsEqualInfer(*model, overlay, g.features(), "overlay");
+
+  // Every other edge: many nodes lose part of their neighbourhood.
+  std::vector<Edge> kept;
+  for (size_t i = 0; i < edges.size(); i += 2) kept.push_back(edges[i]);
+  const EdgeSubsetView subset(g.num_nodes(), kept);
+  ExpectGcnLocalRowsEqualInfer(*model, subset, g.features(), "edge subset");
+}
 
 TEST(Gcn, RemovingBridgeChangesSatellitePrediction) {
   const auto& f = testing::TwoCommunityAppnp();

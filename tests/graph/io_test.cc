@@ -71,6 +71,56 @@ TEST(GraphIo, RejectsBadFeatureIndex) {
   EXPECT_FALSE(LoadGraph(path).ok());
 }
 
+// Writes `text` to a fresh file and returns the status LoadGraph gives it.
+Status LoadGraphText(const char* name, const std::string& text) {
+  const std::string path = TempPath(name);
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+  return LoadGraph(path).status();
+}
+
+constexpr char kTwoEdgeHeader[] = "graph 4 2 3 2\ne 0 1\ne 2 3\n";
+
+TEST(GraphIo, WellFormedTextLoads) {
+  const std::string text = std::string(kTwoEdgeHeader) +
+                           "l 3 1\nf 3 0:1.5 2:-2\nn 3 leaf\n";
+  EXPECT_TRUE(LoadGraphText("well_formed.rgx", text).ok());
+}
+
+TEST(GraphIo, RejectsTornEdgeLine) {
+  // Without a check, `e 3` read as a phantom edge 3-0.
+  const Status s =
+      LoadGraphText("torn_edge.rgx", "graph 4 2 3 2\ne 0 1\ne 3\n");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
+TEST(GraphIo, RejectsTornLabelLine) {
+  const Status s = LoadGraphText("torn_label.rgx",
+                                 std::string(kTwoEdgeHeader) + "l 3\n");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
+TEST(GraphIo, RejectsTornNameLine) {
+  const Status s = LoadGraphText("torn_name.rgx",
+                                 std::string(kTwoEdgeHeader) + "n 3\n");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
+TEST(GraphIo, RejectsFewerEdgesThanDeclared) {
+  // A file cut after its first edge line.
+  const Status s = LoadGraphText("truncated.rgx", "graph 4 2 3 2\ne 0 1\n");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
+TEST(GraphIo, RejectsUnparsableFeaturePair) {
+  for (const char* pair : {"x:1", "1:y", "1:", ":1", "1x:1", "1:2.5z"}) {
+    const Status s = LoadGraphText(
+        "bad_pair.rgx", std::string(kTwoEdgeHeader) + "f 3 " + pair + "\n");
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << pair;
+  }
+}
+
 TEST(GraphIo, TrainedModelAgreesOnReloadedGraph) {
   // End-to-end: inference results are identical on the reloaded graph.
   const auto& f = testing::TwoCommunityAppnp();

@@ -108,6 +108,74 @@ TEST(KHopBall, MultiSourceUnion) {
   EXPECT_EQ(ball.size(), 4u);  // {0,1} ∪ {8,9}
 }
 
+// Hop distance from the nearest seed for every node (-1 when unreachable).
+std::vector<int> SeedDistances(const GraphView& view,
+                               const std::vector<NodeId>& seeds) {
+  std::vector<int> dist(static_cast<size_t>(view.num_nodes()), -1);
+  std::vector<NodeId> frontier;
+  for (NodeId s : seeds) {
+    if (dist[static_cast<size_t>(s)] < 0) {
+      dist[static_cast<size_t>(s)] = 0;
+      frontier.push_back(s);
+    }
+  }
+  for (int d = 1; !frontier.empty(); ++d) {
+    std::vector<NodeId> next;
+    for (NodeId u : frontier) {
+      for (NodeId w : view.Neighbors(u)) {
+        if (dist[static_cast<size_t>(w)] < 0) {
+          dist[static_cast<size_t>(w)] = d;
+          next.push_back(w);
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  return dist;
+}
+
+TEST(KHopBallShells, ShellEndsCountNodesWithinEachHop) {
+  const Graph sbm = testing::MakeSmallSbm();
+  const Graph path = testing::MakePathGraph(10);
+  Graph split(6);  // two components: 0-1-2 and 3-4-5
+  for (const Edge& e : {Edge(0, 1), Edge(1, 2), Edge(3, 4), Edge(4, 5)}) {
+    ASSERT_TRUE(split.AddEdge(e.u, e.v).ok());
+  }
+  struct Case {
+    const Graph* graph;
+    std::vector<NodeId> seeds;
+  };
+  const std::vector<Case> cases = {
+      {&sbm, {0}},     {&sbm, {7, 100, 7, 239}}, {&path, {5}},
+      {&path, {0, 9}}, {&split, {1}},            {&split, {0, 5}},
+  };
+  for (const Case& c : cases) {
+    const FullView view(c.graph);
+    const std::vector<int> dist = SeedDistances(view, c.seeds);
+    for (int hops = 0; hops <= 6; ++hops) {
+      std::vector<size_t> shell_end;
+      const std::vector<NodeId> ball =
+          KHopBallShells(view, c.seeds, hops, &shell_end);
+      EXPECT_EQ(ball, KHopBall(view, c.seeds, hops));
+      ASSERT_EQ(shell_end.size(), static_cast<size_t>(hops) + 1);
+      EXPECT_EQ(shell_end.back(), ball.size());
+      for (int h = 0; h <= hops; ++h) {
+        if (h > 0) {
+          EXPECT_LE(shell_end[h - 1], shell_end[h]);
+        }
+        size_t within = 0;
+        for (int d : dist) within += (d >= 0 && d <= h) ? 1 : 0;
+        EXPECT_EQ(shell_end[h], within) << "hops " << hops << " h " << h;
+        // The first shell_end[h] ball nodes are exactly those within h hops.
+        for (size_t i = 0; i < ball.size(); ++i) {
+          const int d = dist[static_cast<size_t>(ball[i])];
+          EXPECT_EQ(i < shell_end[h], d <= h) << "ball node " << ball[i];
+        }
+      }
+    }
+  }
+}
+
 TEST(InducedEdges, RestrictsToNodeSet) {
   const Graph g = Ring(6);
   const FullView full(&g);

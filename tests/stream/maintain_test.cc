@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include "src/explain/verify.h"
 #include "src/stream/update.h"
@@ -398,6 +402,35 @@ TEST(Maintain, ApplyEmitsOpenedBaseSecuredClosedInOrder) {
   const auto r2 = m.Apply(UpdateBatch{});
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(listener.events.empty()) << "removed listener still notified";
+}
+
+// A serving reader may miss into inference on the maintained graph after
+// its ticket completed, outside any epoch's admission control. Apply() must
+// not change the graph under that inference (a torn adjacency list can send
+// it out of bounds), so the commit waits for it.
+TEST(Maintain, ApplyDoesNotMutateTheGraphUnderARunningInference) {
+  const auto& f = testing::TwoCommunityGcn();
+  testing::GatedModel gated(f.model.get());
+  Graph graph = *f.graph;
+  WitnessMaintainer m(&graph, Config(&graph, &gated, {1}), {});
+  m.Initialize();
+  m.engine().Invalidate(InferenceEngine::kFullView);
+  const uint64_t version = graph.mutation_version();
+  gated.Arm();
+  std::thread reader([&] { m.engine().Logits(InferenceEngine::kFullView, 2); });
+  gated.WaitEntered();
+  UpdateBatch batch;
+  batch.Insert(2, 7);
+  std::optional<StatusOr<MaintainReport>> applied;
+  std::thread applier([&] { applied.emplace(m.Apply(batch)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(graph.mutation_version(), version)
+      << "Apply changed the graph while an inference read it";
+  gated.Open();
+  reader.join();
+  applier.join();
+  ASSERT_TRUE(applied.has_value() && applied->ok());
+  EXPECT_TRUE(graph.HasEdge(2, 7));
 }
 
 }  // namespace

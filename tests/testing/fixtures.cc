@@ -115,4 +115,50 @@ const TrainedFixture& SmallSbmGcn() {
   return *f;
 }
 
+Matrix GatedModel::InferSubset(const GraphView& view, const Matrix& features,
+                               const std::vector<NodeId>& nodes) const {
+  Gate();
+  return inner_->InferSubset(view, features, nodes);
+}
+
+std::vector<double> GatedModel::InferNode(const GraphView& view,
+                                          const Matrix& features,
+                                          NodeId v) const {
+  Gate();
+  return inner_->InferNode(view, features, v);
+}
+
+Matrix GatedModel::InferNodes(const GraphView& view, const Matrix& features,
+                              const std::vector<NodeId>& nodes) const {
+  Gate();
+  return inner_->InferNodes(view, features, nodes);
+}
+
+void GatedModel::Arm() {
+  std::lock_guard<std::mutex> lock(mu_);
+  armed_ = true;
+  entered_ = false;
+  open_ = false;
+}
+
+void GatedModel::WaitEntered() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return entered_; });
+}
+
+void GatedModel::Open() {
+  std::lock_guard<std::mutex> lock(mu_);
+  open_ = true;
+  cv_.notify_all();
+}
+
+void GatedModel::Gate() const {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!armed_) return;
+  armed_ = false;
+  entered_ = true;
+  cv_.notify_all();
+  cv_.wait(lock, [&] { return open_; });
+}
+
 }  // namespace robogexp::testing

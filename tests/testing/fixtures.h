@@ -2,7 +2,11 @@
 #ifndef ROBOGEXP_TESTS_TESTING_FIXTURES_H_
 #define ROBOGEXP_TESTS_TESTING_FIXTURES_H_
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <vector>
 
 #include "src/gnn/trainer.h"
 #include "src/graph/graph.h"
@@ -41,6 +45,54 @@ const TrainedFixture& SmallSbmAppnp();
 
 /// Cached GCN trained on MakeSmallSbm.
 const TrainedFixture& SmallSbmGcn();
+
+/// Forwards every call to `inner`, except that the first inference after
+/// Arm() announces itself and then blocks until Open(). A test uses it to
+/// hold one inference in progress while another thread acts.
+class GatedModel final : public GnnModel {
+ public:
+  explicit GatedModel(const GnnModel* inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_->name(); }
+  int num_layers() const override { return inner_->num_layers(); }
+  int num_classes() const override { return inner_->num_classes(); }
+  int64_t num_features() const override { return inner_->num_features(); }
+  int receptive_hops() const override { return inner_->receptive_hops(); }
+  bool InferenceIsReceptiveLocal() const override {
+    return inner_->InferenceIsReceptiveLocal();
+  }
+  bool BatchedInferenceAmortizes() const override {
+    return inner_->BatchedInferenceAmortizes();
+  }
+
+  Matrix InferSubset(const GraphView& view, const Matrix& features,
+                     const std::vector<NodeId>& nodes) const override;
+  std::vector<double> InferNode(const GraphView& view, const Matrix& features,
+                                NodeId v) const override;
+  Matrix InferNodes(const GraphView& view, const Matrix& features,
+                    const std::vector<NodeId>& nodes) const override;
+  Matrix BaseLogits(const GraphView& view,
+                    const Matrix& features) const override {
+    return inner_->BaseLogits(view, features);
+  }
+
+  /// The next inference will block.
+  void Arm();
+  /// Waits until the armed inference has started.
+  void WaitEntered();
+  /// Lets the blocked inference (and every later one) run.
+  void Open();
+
+ private:
+  void Gate() const;
+
+  const GnnModel* inner_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool armed_ = false;
+  mutable bool entered_ = false;
+  bool open_ = false;
+};
 
 }  // namespace robogexp::testing
 
