@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/common.h"
+#include "src/gnn/engine.h"
 #include "src/graph/partition.h"
 #include "src/la/sparse.h"
 #include "src/ppr/ppr.h"
@@ -14,6 +15,12 @@ namespace {
 const Workload& CachedCiteSeer() {
   static const Workload* w =
       new Workload(PrepareWorkload("CiteSeer", 0.3, false));
+  return *w;
+}
+
+// PPI-sim at the scale perfbench's explain_dense workload runs on.
+const Workload& CachedPpi() {
+  static const Workload* w = new Workload(PrepareWorkload("PPI", 0.5, false));
   return *w;
 }
 
@@ -85,6 +92,23 @@ void BM_GcnLocalizedInferNode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GcnLocalizedInferNode);
+
+// One uncached engine query, the path the explainer takes: unlike a direct
+// InferNode it reads layer-0 rows from the engine's projection X·W_0.
+// Arg 0 is CiteSeer-sim, arg 1 PPI-sim.
+void BM_GcnEngineNodeQuery(benchmark::State& state) {
+  const Workload& w = state.range(0) == 0 ? CachedCiteSeer() : CachedPpi();
+  state.SetLabel(w.name);
+  EngineOptions opts;
+  opts.cache = false;
+  InferenceEngine engine(w.model.get(), w.graph.get(), opts);
+  NodeId v = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.Logits(InferenceEngine::kFullView, v));
+    v = (v + 31) % w.graph->num_nodes();
+  }
+}
+BENCHMARK(BM_GcnEngineNodeQuery)->Arg(0)->Arg(1);
 
 void BM_GcnFullInference(benchmark::State& state) {
   const Workload& w = CachedCiteSeer();

@@ -23,6 +23,7 @@ InferenceEngine::InferenceEngine(const GnnModel* model, const Graph* graph,
                                  const EngineOptions& opts)
     : model_(model), graph_(graph), full_(graph), base_(&full_), opts_(opts) {
   RCW_CHECK(model != nullptr && graph != nullptr);
+  projected_ = model_->ProjectFeatures(graph_->features());
   slots_[kFullView].view = base_;
 }
 
@@ -34,6 +35,7 @@ InferenceEngine::InferenceEngine(const GnnModel* model, const Graph* graph,
   RCW_CHECK(model != nullptr && graph != nullptr && base_view != nullptr);
   RCW_CHECK_MSG(base_view->num_nodes() == graph->num_nodes(),
                 "InferenceEngine: base view must share the graph's id space");
+  projected_ = model_->ProjectFeatures(graph_->features());
   slots_[kFullView].view = base_;
 }
 
@@ -60,6 +62,20 @@ const GraphView* InferenceEngine::ViewOf(ViewId id) const {
   RCW_CHECK_MSG(it != slots_.end() && it->second.view != nullptr,
                 "InferenceEngine: unknown or released view slot");
   return it->second.view;
+}
+
+std::vector<double> InferenceEngine::InferNodeOn(const GraphView& view,
+                                                 NodeId v) const {
+  if (projected_.empty()) return model_->InferNode(view, graph_->features(), v);
+  return model_->LocalInferNode(view, graph_->features(), &projected_, v);
+}
+
+Matrix InferenceEngine::InferNodesOn(const GraphView& view,
+                                     const std::vector<NodeId>& nodes) const {
+  if (projected_.empty()) {
+    return model_->InferNodes(view, graph_->features(), nodes);
+  }
+  return model_->LocalInferNodes(view, graph_->features(), &projected_, nodes);
 }
 
 const GraphView* InferenceEngine::BeginInferenceLocked(
@@ -206,7 +222,7 @@ std::vector<double> InferenceEngine::Logits(ViewId id, NodeId v) {
   // Model invocation outside the lock; concurrent misses on the same node
   // compute identical values and the insert below is idempotent.
   auto logits = std::make_shared<const std::vector<double>>(
-      model_->InferNode(*view, graph_->features(), v));
+      InferNodeOn(*view, v));
   {
     std::unique_lock<std::mutex> lock(mu_);
     EndInferenceLocked(view);
@@ -254,7 +270,7 @@ void InferenceEngine::Warm(ViewId id, const std::vector<NodeId>& nodes) {
     std::unique_lock<std::mutex> lock(mu_);
     view = BeginInferenceLocked(lock, id);
   }
-  const Matrix rows = model_->InferNodes(*view, graph_->features(), missing);
+  const Matrix rows = InferNodesOn(*view, missing);
   std::vector<LogitsPtr> packed;
   packed.reserve(missing.size());
   for (size_t i = 0; i < missing.size(); ++i) {
@@ -299,7 +315,7 @@ void InferenceEngine::WarmOverlay(const std::vector<Edge>& flips,
   lock.unlock();
   // Building the overlay reads the base graph too.
   const OverlayView overlay(base_, EdgesOfKeys(canon));
-  const Matrix rows = model_->InferNodes(overlay, graph_->features(), missing);
+  const Matrix rows = InferNodesOn(overlay, missing);
   std::vector<LogitsPtr> packed;
   packed.reserve(missing.size());
   for (size_t i = 0; i < missing.size(); ++i) {
@@ -348,7 +364,7 @@ std::vector<double> InferenceEngine::LogitsOverlay(
   // Building the overlay reads the base graph too.
   const OverlayView overlay(base_, EdgesOfKeys(canon));
   auto logits = std::make_shared<const std::vector<double>>(
-      model_->InferNode(overlay, graph_->features(), v));
+      InferNodeOn(overlay, v));
 
   lock.lock();
   EndInferenceLocked(nullptr);
@@ -376,7 +392,7 @@ std::vector<double> InferenceEngine::LogitsOn(const GraphView& view, NodeId v) {
   std::unique_lock<std::mutex> lock(mu_);
   BeginInferenceLocked(lock);
   lock.unlock();
-  std::vector<double> logits = model_->InferNode(view, graph_->features(), v);
+  std::vector<double> logits = InferNodeOn(view, v);
   lock.lock();
   EndInferenceLocked(nullptr);
   ++stats_.node_queries;

@@ -34,6 +34,16 @@
 /// no inference reads the slot's old view any more, so the caller may then
 /// destroy it, and MutateBase() changes the base graph only while no
 /// inference runs.
+///
+/// Feature-only first layer: at construction the engine asks the model for
+/// GnnModel::ProjectFeatures over the whole graph's features (GCN: X·W_0)
+/// and keeps it, n × h_1 doubles per engine (h_1 the first layer's width;
+/// nothing for models without a projection). Every localized query then
+/// reads its layer-0 rows from that matrix instead of projecting its L-hop
+/// ball; the rows are the same bits, so logits do not change. The graph's
+/// features must therefore stay fixed while an engine lives: views and
+/// MutateBase change edges only. A fragment-shard engine projects the whole
+/// graph too, which its base view indexes by global id.
 #ifndef ROBOGEXP_GNN_ENGINE_H_
 #define ROBOGEXP_GNN_ENGINE_H_
 
@@ -125,7 +135,7 @@ class InferenceEngine {
   };
 
   /// `model` and `graph` must outlive the engine. Features are taken from
-  /// the graph.
+  /// the graph and must not change while the engine lives.
   InferenceEngine(const GnnModel* model, const Graph* graph,
                   const EngineOptions& opts = {});
 
@@ -254,6 +264,14 @@ class InferenceEngine {
 
   const GraphView* ViewOf(ViewId id) const;
 
+  /// Localized logits of `v` (InferNodeOn) or of each of `nodes`
+  /// (InferNodesOn) on `view`. With a projection they run the model's
+  /// default ball path on it; without one they call the model's virtual
+  /// InferNode / InferNodes, so a forwarding model sees every call.
+  std::vector<double> InferNodeOn(const GraphView& view, NodeId v) const;
+  Matrix InferNodesOn(const GraphView& view,
+                      const std::vector<NodeId>& nodes) const;
+
   /// BeginInferenceLocked's id for an inference that reads no slot.
   static constexpr ViewId kNoSlot = -1;
   /// Starts one inference: waits out a MutateBase in progress and counts
@@ -284,6 +302,9 @@ class InferenceEngine {
   /// for whole-graph engines, the caller's view for fragment shards.
   const GraphView* base_;
   EngineOptions opts_;
+  /// model_->ProjectFeatures(graph features), computed once at
+  /// construction; empty when the model has no feature-only step.
+  Matrix projected_;
 
   /// One content-addressed overlay entry set. The stamp is drawn fresh each
   /// time a flip set's map is (re)created, so FIFO eviction can tell a live

@@ -17,15 +17,24 @@ GcnModel::GcnModel(std::vector<Matrix> weights, std::vector<Matrix> biases)
 Matrix GcnModel::InferSubset(const GraphView& view, const Matrix& features,
                              const std::vector<NodeId>& nodes) const {
   return InferBall(view, features, nodes,
-                   std::vector<size_t>(weights_.size() + 1, nodes.size()));
+                   std::vector<size_t>(weights_.size() + 1, nodes.size()),
+                   /*projected=*/nullptr);
+}
+
+Matrix GcnModel::ProjectFeatures(const Matrix& features) const {
+  return Matrix::Multiply(features, weights_.front());
 }
 
 Matrix GcnModel::InferBall(const GraphView& view, const Matrix& features,
                            const std::vector<NodeId>& ball,
-                           const std::vector<size_t>& shell_end) const {
+                           const std::vector<size_t>& shell_end,
+                           const Matrix* projected) const {
   const size_t num_layers = weights_.size();
   const size_t n = ball.size();
   RCW_CHECK(shell_end.size() == num_layers + 1 && shell_end.back() == n);
+  RCW_CHECK(projected == nullptr ||
+            (projected->rows() == features.rows() &&
+             projected->cols() == weights_.front().cols()));
   std::unordered_map<NodeId, size_t> local;
   local.reserve(n * 2);
   for (size_t i = 0; i < n; ++i) local[ball[i]] = i;
@@ -48,30 +57,42 @@ Matrix GcnModel::InferBall(const GraphView& view, const Matrix& features,
     }
   }
 
-  // H = features rows of the ball.
-  Matrix h(static_cast<int64_t>(n), features.cols());
-  for (size_t i = 0; i < n; ++i) {
-    const double* src = features.Row(ball[i]);
-    double* dst = h.Row(static_cast<int64_t>(i));
-    for (int64_t c = 0; c < features.cols(); ++c) dst[c] = src[c];
+  // H = features rows of the ball, needed only to project layer 0 here.
+  Matrix h;
+  if (projected == nullptr) {
+    h = Matrix(static_cast<int64_t>(n), features.cols());
+    for (size_t i = 0; i < n; ++i) {
+      const double* src = features.Row(ball[i]);
+      double* dst = h.Row(static_cast<int64_t>(i));
+      for (int64_t c = 0; c < features.cols(); ++c) dst[c] = src[c];
+    }
   }
 
-  // h holds shell_end[L-layer] rows on entry to `layer`; a row that
-  // aggregates reads only rows one hop further out, all of which t holds.
+  // h holds shell_end[L-layer] rows on entry to `layer` (none on entry to
+  // layer 0 when it reads the projection); a row that aggregates reads only
+  // rows one hop further out, all of which t holds.
   for (size_t layer = 0; layer < num_layers; ++layer) {
-    const Matrix t = Matrix::Multiply(h, weights_[layer]);
+    const bool read_projection = layer == 0 && projected != nullptr;
+    Matrix t;
+    if (!read_projection) t = Matrix::Multiply(h, weights_[layer]);
+    // Row j of this layer's projection, in ball order.
+    auto t_row = [&](size_t j) {
+      return read_projection ? projected->Row(ball[j])
+                             : t.Row(static_cast<int64_t>(j));
+    };
+    const int64_t cols = weights_[layer].cols();
     const size_t rows = shell_end[num_layers - 1 - layer];
-    Matrix agg(static_cast<int64_t>(rows), t.cols());
+    Matrix agg(static_cast<int64_t>(rows), cols);
     for (size_t i = 0; i < rows; ++i) {
       double* out = agg.Row(static_cast<int64_t>(i));
       // Self-loop term: Â includes I, normalization 1/d̂_i.
       const double self_w = inv_sqrt_deg[i] * inv_sqrt_deg[i];
-      const double* self_row = t.Row(static_cast<int64_t>(i));
-      for (int64_t c = 0; c < t.cols(); ++c) out[c] = self_w * self_row[c];
+      const double* self_row = t_row(i);
+      for (int64_t c = 0; c < cols; ++c) out[c] = self_w * self_row[c];
       for (size_t j : nbrs_local[i]) {
         const double w = inv_sqrt_deg[i] * inv_sqrt_deg[j];
-        const double* row = t.Row(static_cast<int64_t>(j));
-        for (int64_t c = 0; c < t.cols(); ++c) out[c] += w * row[c];
+        const double* row = t_row(j);
+        for (int64_t c = 0; c < cols; ++c) out[c] += w * row[c];
       }
     }
     agg.AddRowVectorInPlace(biases_[layer]);

@@ -28,14 +28,21 @@ class GcnModel final : public GnnModel {
   Matrix InferSubset(const GraphView& view, const Matrix& features,
                      const std::vector<NodeId>& nodes) const override;
 
+  /// X·W_0, the first layer's projection before aggregation.
+  Matrix ProjectFeatures(const Matrix& features) const override;
+
   /// Of the L layers, layer l aggregates only the first shell_end[L-1-l]
-  /// rows, so it projects only the shell_end[L-l] rows those read. A row within L-1 hops
-  /// has every neighbour inside the ball, in AppendNeighbors order, so each
-  /// computed row sums the same operands in the same order as a whole-graph
-  /// pass and the result is bit-identical to it.
+  /// rows, so it projects only the shell_end[L-l] rows those read. A row
+  /// within L-1 hops has every neighbour inside the ball, in AppendNeighbors
+  /// order, so each computed row sums the same operands in the same order as
+  /// a whole-graph pass and the result is bit-identical to it. With
+  /// `projected`, layer 0 reads row ball[j] of it instead of projecting the
+  /// ball: Matrix::Multiply computes row u from row u of X alone, so the
+  /// rows are the same bits.
   Matrix InferBall(const GraphView& view, const Matrix& features,
                    const std::vector<NodeId>& ball,
-                   const std::vector<size_t>& shell_end) const override;
+                   const std::vector<size_t>& shell_end,
+                   const Matrix* projected) const override;
 
   std::vector<Matrix>& mutable_weights() { return weights_; }
   std::vector<Matrix>& mutable_biases() { return biases_; }

@@ -10,15 +10,32 @@ Matrix GnnModel::Infer(const GraphView& view, const Matrix& features) const {
   return InferSubset(view, features, all);
 }
 
+Matrix GnnModel::ProjectFeatures(const Matrix& /*features*/) const {
+  return Matrix();
+}
+
 Matrix GnnModel::InferBall(const GraphView& view, const Matrix& features,
                            const std::vector<NodeId>& ball,
-                           const std::vector<size_t>& /*shell_end*/) const {
+                           const std::vector<size_t>& /*shell_end*/,
+                           const Matrix* /*projected*/) const {
   return InferSubset(view, features, ball);
 }
 
 std::vector<double> GnnModel::InferNode(const GraphView& view,
                                         const Matrix& features,
                                         NodeId v) const {
+  return LocalInferNode(view, features, nullptr, v);
+}
+
+Matrix GnnModel::InferNodes(const GraphView& view, const Matrix& features,
+                            const std::vector<NodeId>& nodes) const {
+  return LocalInferNodes(view, features, nullptr, nodes);
+}
+
+std::vector<double> GnnModel::LocalInferNode(const GraphView& view,
+                                             const Matrix& features,
+                                             const Matrix* projected,
+                                             NodeId v) const {
   std::vector<size_t> shell_end;
   const std::vector<NodeId> ball =
       KHopBallShells(view, {v}, receptive_hops(), &shell_end);
@@ -26,7 +43,7 @@ std::vector<double> GnnModel::InferNode(const GraphView& view,
   // because KHopBall guarantees the center is the first ball entry.
   RCW_CHECK_MSG(!ball.empty() && ball[0] == v,
                 "InferNode: KHopBall must place the center first");
-  const Matrix logits = InferBall(view, features, ball, shell_end);
+  const Matrix logits = InferBall(view, features, ball, shell_end, projected);
   std::vector<double> out(static_cast<size_t>(num_classes()));
   for (int c = 0; c < num_classes(); ++c) {
     out[static_cast<size_t>(c)] = logits.at(0, c);
@@ -34,12 +51,14 @@ std::vector<double> GnnModel::InferNode(const GraphView& view,
   return out;
 }
 
-Matrix GnnModel::InferNodes(const GraphView& view, const Matrix& features,
-                            const std::vector<NodeId>& nodes) const {
+Matrix GnnModel::LocalInferNodes(const GraphView& view, const Matrix& features,
+                                 const Matrix* projected,
+                                 const std::vector<NodeId>& nodes) const {
   Matrix out(static_cast<int64_t>(nodes.size()), num_classes());
   if (nodes.empty()) return out;
   if (nodes.size() == 1) {
-    const std::vector<double> logits = InferNode(view, features, nodes[0]);
+    const std::vector<double> logits =
+        LocalInferNode(view, features, projected, nodes[0]);
     for (int c = 0; c < num_classes(); ++c) {
       out.at(0, c) = logits[static_cast<size_t>(c)];
     }
@@ -48,7 +67,7 @@ Matrix GnnModel::InferNodes(const GraphView& view, const Matrix& features,
   std::vector<size_t> shell_end;
   const std::vector<NodeId> ball =
       KHopBallShells(view, nodes, receptive_hops(), &shell_end);
-  const Matrix logits = InferBall(view, features, ball, shell_end);
+  const Matrix logits = InferBall(view, features, ball, shell_end, projected);
   // The seeds are the ball's first shell_end[0] entries.
   std::unordered_map<NodeId, int64_t> row;
   row.reserve(shell_end[0] * 2);

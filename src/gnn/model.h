@@ -8,8 +8,11 @@
 // single-node query O(ball) instead of O(|G|). The ball comes with its hop
 // shells (`InferBall`), and layer l is read only within L-1-l hops of the
 // query nodes, so a model may compute each layer on fewer rows. GCN does: a
-// localized query costs one projection X·W_0 over the L-hop ball, and layer l
-// then aggregates (and layer l+1 projects) only the (L-1-l)-hop ball.
+// localized query aggregates layer l (and projects layer l+1) only over the
+// (L-1-l)-hop ball. Its first projection X·W_0 reads no edges, so an
+// InferenceEngine computes it once over the whole graph (`ProjectFeatures`)
+// and every query reads layer-0 rows from it; a direct InferNode caller
+// still projects the L-hop ball itself.
 #ifndef ROBOGEXP_GNN_MODEL_H_
 #define ROBOGEXP_GNN_MODEL_H_
 
@@ -37,15 +40,25 @@ class GnnModel {
   virtual Matrix InferSubset(const GraphView& view, const Matrix& features,
                              const std::vector<NodeId>& nodes) const = 0;
 
+  /// The model's feature-only first step over every row of `features`, or
+  /// an empty matrix (the default) when the model has none. Row u depends
+  /// only on row u of `features`, never on edges, so one projection serves
+  /// every view over the same features (see InferBall's `projected`).
+  virtual Matrix ProjectFeatures(const Matrix& features) const;
+
   /// Logits for the seeds of a KHopBallShells ball of radius
   /// receptive_hops(): `ball` lists the nodes in BFS order and `shell_end[h]`
   /// is the number of them within h hops of the seeds. Only the first
   /// shell_end[0] rows (the seeds, in ball order) are defined, and the result
   /// may hold only those rows. The default runs InferSubset over the whole
   /// ball; a model may skip the rows that no seed's output reads.
+  /// `projected`, when not null, is ProjectFeatures(features) (indexed by
+  /// node id), and a model that has a projection reads its first step from
+  /// it instead of recomputing it over the ball.
   virtual Matrix InferBall(const GraphView& view, const Matrix& features,
                            const std::vector<NodeId>& ball,
-                           const std::vector<size_t>& shell_end) const;
+                           const std::vector<size_t>& shell_end,
+                           const Matrix* projected) const;
 
   /// Receptive-field radius used by the default InferNode (L for
   /// message-passing models; APPNP overrides node inference with PPR push).
@@ -77,6 +90,18 @@ class GnnModel {
   /// exact per-node numerics.
   virtual Matrix InferNodes(const GraphView& view, const Matrix& features,
                             const std::vector<NodeId>& nodes) const;
+
+  /// The default InferNode / InferNodes, with `projected` handed to
+  /// InferBall. A model that returns a projection from ProjectFeatures must
+  /// answer InferNode and InferNodes by these defaults (GCN does), so a
+  /// caller holding that projection (an InferenceEngine) may call these in
+  /// place of the virtuals and get the same bits.
+  std::vector<double> LocalInferNode(const GraphView& view,
+                                     const Matrix& features,
+                                     const Matrix* projected, NodeId v) const;
+  Matrix LocalInferNodes(const GraphView& view, const Matrix& features,
+                         const Matrix* projected,
+                         const std::vector<NodeId>& nodes) const;
 
   /// True when InferNodes genuinely amortizes: one subset computation serves
   /// the whole batch. Models whose batched path is a per-node loop (APPNP)

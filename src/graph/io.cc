@@ -9,10 +9,18 @@
 
 namespace robogexp {
 
+namespace {
+
+// The version SaveGraph writes; files without a version line predate it.
+constexpr int kGraphFormatVersion = 1;
+
+}  // namespace
+
 Status SaveGraph(const Graph& graph, const std::string& path) {
   AtomicFileWriter writer(path);
   std::ostream& f = writer.stream();
   if (!writer.ok()) return Status::Internal("SaveGraph: cannot open " + path);
+  f << "rgx " << kGraphFormatVersion << "\n";
   f << "graph " << graph.num_nodes() << " " << graph.num_edges() << " "
     << graph.num_features() << " " << graph.num_classes() << "\n";
   for (const Edge& e : graph.Edges()) {
@@ -46,6 +54,7 @@ Status SaveGraph(const Graph& graph, const std::string& path) {
       f << "n " << u << " " << graph.NodeName(u) << "\n";
     }
   }
+  f << "end\n";
   return writer.Commit("SaveGraph");
 }
 
@@ -73,13 +82,27 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
   int64_t declared_edges = 0;
   int64_t edges_read = 0;
   bool header_seen = false;
+  // A versioned file must end in an `end` trailer, since the label, feature
+  // and name sections declare no counts; unversioned files have no trailer.
+  bool versioned = false;
+  bool ended = false;
 
   while (std::getline(f, line)) {
     if (line.empty() || line[0] == '#') continue;
+    if (ended) {
+      return Status::InvalidArgument("LoadGraph: data after end trailer");
+    }
     std::istringstream ss(line);
     std::string tag;
     ss >> tag;
-    if (tag == "graph") {
+    if (tag == "rgx") {
+      int version = 0;
+      if (versioned || header_seen || !(ss >> version) ||
+          version != kGraphFormatVersion) {
+        return Status::InvalidArgument("LoadGraph: bad version line");
+      }
+      versioned = true;
+    } else if (tag == "graph") {
       NodeId n;
       int64_t nf;
       ss >> n >> declared_edges >> nf >> num_classes;
@@ -133,11 +156,17 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
         return Status::InvalidArgument("LoadGraph: bad name node");
       }
       graph.SetNodeName(u, name);
+    } else if (tag == "end" && versioned) {
+      ended = true;
     } else {
       return Status::InvalidArgument("LoadGraph: unknown tag " + tag);
     }
   }
   if (!header_seen) return Status::InvalidArgument("LoadGraph: empty file");
+  if (versioned && !ended) {
+    return Status::InvalidArgument(
+        "LoadGraph: missing end trailer (truncated file)");
+  }
   if (edges_read != declared_edges) {
     return Status::InvalidArgument("LoadGraph: header declares " +
                                    std::to_string(declared_edges) +

@@ -8,9 +8,13 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/gnn/trainer.h"
+#include "src/graph/partition.h"
 #include "tests/testing/fixtures.h"
 
 namespace robogexp {
@@ -280,6 +284,142 @@ TEST(KHopBall, CenterIsAlwaysFirstAndOrderIsDeterministicBfs) {
   const std::vector<NodeId> ball = KHopBall(full, seeds, 2);
   ASSERT_GE(ball.size(), seeds.size());
   for (size_t i = 0; i < seeds.size(); ++i) EXPECT_EQ(ball[i], seeds[i]);
+}
+
+// A GCN engine reads layer-0 rows from its one projection X·W_0 instead of
+// projecting each query's ball. Every row it serves, through every entry
+// point and with the cache on or off, must still equal the whole-view
+// Infer row bit for bit.
+std::unique_ptr<GnnModel> ThreeLayerGcn(const Graph& g) {
+  TrainOptions opts;
+  opts.epochs = 30;
+  opts.hidden_dims = {8, 8};
+  auto model = TrainGcn(g, SampleTrainNodes(g, 0.5, 1), opts);
+  RCW_CHECK(model->num_layers() == 3);
+  return model;
+}
+
+void ExpectRowEq(const std::vector<double>& got, const Matrix& want, NodeId v,
+                 const std::string& label) {
+  ASSERT_EQ(static_cast<int64_t>(got.size()), want.cols()) << label;
+  for (size_t c = 0; c < got.size(); ++c) {
+    ASSERT_EQ(got[c], want.at(v, static_cast<int64_t>(c)))
+        << label << " node " << v << " class " << c;
+  }
+}
+
+/// Logits (and Warm when caching) on slot `id`, whose view is `view`.
+void ExpectSlotRowsEqualInfer(InferenceEngine* engine,
+                              InferenceEngine::ViewId id,
+                              const GraphView& view, const Graph& g,
+                              const std::string& label) {
+  const Matrix want = engine->model().Infer(view, g.features());
+  const std::vector<NodeId> nodes = AllNodes(g);
+  engine->Warm(id, nodes);
+  for (NodeId v : nodes) {
+    ExpectRowEq(engine->Logits(id, v), want, v, label + " Logits");
+  }
+}
+
+TEST(EngineProjection, GcnEngineRowsEqualWholeViewInferOnEveryView) {
+  const Graph g = testing::MakeSmallSbm();
+  const auto model = ThreeLayerGcn(g);
+  ASSERT_FALSE(model->ProjectFeatures(g.features()).empty());
+  const FullView full(&g);
+
+  const std::vector<Edge> edges = g.Edges();
+  std::vector<Edge> flips = {edges[0], edges[edges.size() / 2], edges.back()};
+  for (NodeId u = 0, added = 0; added < 4; u += 17) {
+    const NodeId w = (u * 7 + 50) % g.num_nodes();
+    if (u != w && !g.HasEdge(u, w)) {
+      flips.emplace_back(u, w);
+      ++added;
+    }
+  }
+  const OverlayView overlay(&full, flips);
+  ASSERT_EQ(overlay.num_removals(), 3);
+  ASSERT_EQ(overlay.num_insertions(), 4);
+  std::vector<Edge> kept;
+  for (size_t i = 0; i < edges.size(); i += 2) kept.push_back(edges[i]);
+  const EdgeSubsetView subset(g.num_nodes(), kept);
+  const std::vector<std::pair<const GraphView*, std::string>> slot_views = {
+      {&overlay, "overlay"}, {&subset, "edge subset"}};
+
+  for (const bool cache : {false, true}) {
+    const std::string mode = cache ? "cached " : "uncached ";
+    EngineOptions opts;
+    opts.cache = cache;
+    InferenceEngine engine(model.get(), &g, opts);
+    ExpectSlotRowsEqualInfer(&engine, InferenceEngine::kFullView, full, g,
+                             mode + "full");
+    for (const auto& [view, name] : slot_views) {
+      InferenceEngine::ScopedView slot(&engine, view);
+      ExpectSlotRowsEqualInfer(&engine, slot.id(), *view, g, mode + name);
+      const Matrix want = model->Infer(*view, g.features());
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        ExpectRowEq(engine.LogitsOn(*view, v), want, v,
+                    mode + name + " LogitsOn");
+      }
+    }
+    // The content-addressed overlay cache builds its own OverlayView.
+    const Matrix want = model->Infer(overlay, g.features());
+    engine.WarmOverlay(flips, AllNodes(g));
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ExpectRowEq(engine.LogitsOverlay(flips, v), want, v,
+                  mode + "LogitsOverlay");
+    }
+  }
+}
+
+TEST(EngineProjection, FragmentEngineRowsEqualFragmentAndWholeGraphInfer) {
+  const Graph g = testing::MakeSmallSbm();
+  const auto model = ThreeLayerGcn(g);
+  const Matrix whole = model->Infer(FullView(&g), g.features());
+  const auto frags = EdgeCutPartition(g, 3, model->num_layers(), 7);
+  for (const Fragment& frag : frags) {
+    const FragmentView view(&g, frag);
+    for (const bool cache : {false, true}) {
+      EngineOptions opts;
+      opts.cache = cache;
+      InferenceEngine engine(model.get(), &g, &view, opts);
+      const std::string label = "fragment " + std::to_string(frag.id) +
+                                (cache ? " cached" : " uncached");
+      ExpectSlotRowsEqualInfer(&engine, InferenceEngine::kFullView, view, g,
+                               label);
+      // A halo of L hops serves owned nodes as the whole graph does.
+      for (NodeId v : frag.owned_nodes) {
+        ExpectRowEq(engine.Logits(InferenceEngine::kFullView, v), whole, v,
+                    label + " owned");
+      }
+    }
+  }
+}
+
+// A forwarding model has no projection of its own, so the engine must keep
+// calling its InferNode / InferNodes at every entry point.
+TEST(EngineProjection, ForwardingModelStillSeesEveryInferNodeCall) {
+  const auto& f = testing::SmallSbmGcn();
+  testing::GatedModel gated(f.model.get());
+  ASSERT_TRUE(gated.ProjectFeatures(f.graph->features()).empty());
+  InferenceEngine engine(&gated, f.graph.get());
+  const FullView full(f.graph.get());
+  const std::vector<Edge> flips = {Edge(0, 1)};
+  const std::vector<NodeId> batch = {3, 4, 5};
+
+  engine.Logits(InferenceEngine::kFullView, 2);
+  EXPECT_EQ(gated.infer_node_calls(), 1);
+  engine.Warm(InferenceEngine::kFullView, batch);
+  EXPECT_EQ(gated.infer_nodes_calls(), 1);
+  engine.LogitsOn(full, 2);
+  EXPECT_EQ(gated.infer_node_calls(), 2);
+  engine.LogitsOverlay(flips, 2);
+  EXPECT_EQ(gated.infer_node_calls(), 3);
+  engine.WarmOverlay(flips, batch);
+  EXPECT_EQ(gated.infer_nodes_calls(), 2);
+  EXPECT_EQ(engine.Logits(InferenceEngine::kFullView, 4),
+            f.model->InferNode(full, f.graph->features(), 4));
+  EXPECT_EQ(gated.infer_node_calls(), 3) << "a cache hit calls no model";
+  EXPECT_EQ(engine.stats().model_invocations, 5);
 }
 
 // How long a test lets a thread that must stay blocked try to run on.

@@ -201,6 +201,44 @@ TEST(Gcn, LocalizedInferenceIsBitIdenticalOnEveryView) {
   ExpectGcnLocalRowsEqualInfer(*model, subset, g.features(), "edge subset");
 }
 
+// The engine hands GCN its whole-graph projection X·W_0; layer 0 then reads
+// rows of it instead of projecting the ball, and must produce the same bits.
+TEST(Gcn, InferBallWithProjectionMatchesInferBallWithout) {
+  const Graph g = testing::MakeSmallSbm();
+  TrainOptions opts;
+  opts.epochs = 30;
+  opts.hidden_dims = {8, 8};
+  const auto model = TrainGcn(g, SampleTrainNodes(g, 0.5, 1), opts);
+  const Matrix projected = model->ProjectFeatures(g.features());
+  ASSERT_EQ(projected.rows(), g.num_nodes());
+  ASSERT_EQ(projected.cols(), 8);
+  const FullView full(&g);
+  const std::vector<Edge> edges = g.Edges();
+  const OverlayView overlay(&full, {edges[0], edges[edges.size() / 3],
+                                    Edge(0, 120), Edge(5, 200)});
+  for (const GraphView* view : {static_cast<const GraphView*>(&full),
+                                static_cast<const GraphView*>(&overlay)}) {
+    for (NodeId start = 0; start < g.num_nodes(); start += 3) {
+      const std::vector<NodeId> seeds = {start, (start + 101) % g.num_nodes()};
+      std::vector<size_t> shell_end;
+      const std::vector<NodeId> ball =
+          KHopBallShells(*view, seeds, model->receptive_hops(), &shell_end);
+      const Matrix plain =
+          model->InferBall(*view, g.features(), ball, shell_end, nullptr);
+      const Matrix read =
+          model->InferBall(*view, g.features(), ball, shell_end, &projected);
+      ASSERT_EQ(read.rows(), plain.rows());
+      for (size_t i = 0; i < shell_end[0]; ++i) {
+        for (int c = 0; c < model->num_classes(); ++c) {
+          ASSERT_EQ(read.at(static_cast<int64_t>(i), c),
+                    plain.at(static_cast<int64_t>(i), c))
+              << "seed " << ball[i] << " class " << c;
+        }
+      }
+    }
+  }
+}
+
 TEST(Gcn, RemovingBridgeChangesSatellitePrediction) {
   const auto& f = testing::TwoCommunityAppnp();
   const FullView full(f.graph.get());

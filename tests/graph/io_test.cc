@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "src/datasets/provenance.h"
 #include "tests/testing/fixtures.h"
@@ -118,6 +122,51 @@ TEST(GraphIo, RejectsUnparsableFeaturePair) {
     const Status s = LoadGraphText(
         "bad_pair.rgx", std::string(kTwoEdgeHeader) + "f 3 " + pair + "\n");
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << pair;
+  }
+}
+
+TEST(GraphIo, RejectsEveryTruncation) {
+  Graph g = testing::MakeTwoCommunityGraph();
+  g.SetNodeName(3, "three");
+  g.SetNodeName(9, "nine");
+  const std::string path = TempPath("full.rgx");
+  ASSERT_TRUE(SaveGraph(g, path).ok());
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_TRUE(LoadGraphText("uncut.rgx", text).ok());
+  // Cut the file at every line boundary short of its end, the empty prefix
+  // included. The label, feature and name sections declare no counts, so
+  // only the end trailer tells a cut among them from a whole file.
+  size_t cuts = 0;
+  for (size_t len = 0; len < text.size(); len = text.find('\n', len) + 1) {
+    EXPECT_FALSE(LoadGraphText("cut.rgx", text.substr(0, len)).ok())
+        << "prefix of " << len << " bytes loaded:\n"
+        << text.substr(0, len);
+    ++cuts;
+  }
+  EXPECT_EQ(cuts, static_cast<size_t>(std::count(text.begin(), text.end(),
+                                                 '\n')));
+}
+
+TEST(GraphIo, RejectsDataAfterEndTrailer) {
+  const std::string whole =
+      "rgx 1\n" + std::string(kTwoEdgeHeader) + "l 3 1\nend\n";
+  EXPECT_TRUE(LoadGraphText("trailer.rgx", whole).ok());
+  const Status s = LoadGraphText("after_end.rgx", whole + "l 2 1\n");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
+TEST(GraphIo, RejectsUnknownVersionAndMisplacedVersionLine) {
+  for (const std::string& text :
+       {"rgx 2\n" + std::string(kTwoEdgeHeader) + "end\n",
+        "rgx\n" + std::string(kTwoEdgeHeader) + "end\n",
+        std::string(kTwoEdgeHeader) + "rgx 1\nend\n"}) {
+    const Status s = LoadGraphText("version.rgx", text);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << text;
   }
 }
 

@@ -124,12 +124,14 @@ Matrix GatedModel::InferSubset(const GraphView& view, const Matrix& features,
 std::vector<double> GatedModel::InferNode(const GraphView& view,
                                           const Matrix& features,
                                           NodeId v) const {
+  ++infer_node_calls_;
   Gate();
   return inner_->InferNode(view, features, v);
 }
 
 Matrix GatedModel::InferNodes(const GraphView& view, const Matrix& features,
                               const std::vector<NodeId>& nodes) const {
+  ++infer_nodes_calls_;
   Gate();
   return inner_->InferNodes(view, features, nodes);
 }

@@ -2,6 +2,7 @@
 #ifndef ROBOGEXP_TESTS_TESTING_FIXTURES_H_
 #define ROBOGEXP_TESTS_TESTING_FIXTURES_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -48,7 +49,8 @@ const TrainedFixture& SmallSbmGcn();
 
 /// Forwards every call to `inner`, except that the first inference after
 /// Arm() announces itself and then blocks until Open(). A test uses it to
-/// hold one inference in progress while another thread acts.
+/// hold one inference in progress while another thread acts. It counts the
+/// InferNode and InferNodes calls it forwards.
 class GatedModel final : public GnnModel {
  public:
   explicit GatedModel(const GnnModel* inner) : inner_(inner) {}
@@ -83,6 +85,9 @@ class GatedModel final : public GnnModel {
   /// Lets the blocked inference (and every later one) run.
   void Open();
 
+  int infer_node_calls() const { return infer_node_calls_.load(); }
+  int infer_nodes_calls() const { return infer_nodes_calls_.load(); }
+
  private:
   void Gate() const;
 
@@ -92,6 +97,8 @@ class GatedModel final : public GnnModel {
   mutable bool armed_ = false;
   mutable bool entered_ = false;
   bool open_ = false;
+  mutable std::atomic<int> infer_node_calls_{0};
+  mutable std::atomic<int> infer_nodes_calls_{0};
 };
 
 }  // namespace robogexp::testing
